@@ -144,7 +144,10 @@ fn emit_bench_json(_c: &mut Criterion) {
                 engine_on(backend, &full).into_parallel(workers).expect("positive workers");
             // Warm the hot-vertex cache once, then measure steady state:
             // only the logits cache is cleared between iterations, so hub
-            // rows keep coming from the cache as they do in live serving.
+            // rows keep coming from the hot cache. Live serving never
+            // repeats a pass like this: a frozen parallel engine computes
+            // its one version once, and finds hub rows cached only when
+            // another engine of its family computed that version first.
             black_box(parallel.session().infer(&request).expect("warm-up serves"));
             let secs = mean_secs(1, 10, || {
                 parallel.clear_full_graph_cache();

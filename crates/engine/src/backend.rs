@@ -12,7 +12,7 @@
 use crate::error::EngineError;
 use blockgnn_accel::{AccelError, BlockGnnAccelerator, GlobalBuffer, SimReport};
 use blockgnn_gnn::workload::GnnWorkload;
-use blockgnn_gnn::GnnModel;
+use blockgnn_gnn::{GnnModel, StageHalo};
 use blockgnn_graph::{CsrGraph, DatasetSpec};
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::{ExecMode, LinearLayer};
@@ -152,6 +152,10 @@ pub trait ExecutionBackend: Send {
     /// Output width of stage `stage` at the given input feature width.
     fn stage_width(&self, stage: usize, feature_dim: usize) -> usize;
 
+    /// Which input rows an output row of stage `stage` reads (delegates
+    /// to [`blockgnn_gnn::GnnModel::stage_halo`]).
+    fn stage_halo(&self, stage: usize) -> StageHalo;
+
     /// Computes stage `stage` output rows for target nodes `rows` from
     /// the full previous-stage matrix `input` — bit-identical to the
     /// corresponding slice of [`ExecutionBackend::execute`]'s logits
@@ -230,6 +234,10 @@ impl ExecutionBackend for DenseBackend {
         self.model.stage_width(stage, feature_dim)
     }
 
+    fn stage_halo(&self, stage: usize) -> StageHalo {
+        self.model.stage_halo(stage)
+    }
+
     fn execute_stage(
         &mut self,
         stage: usize,
@@ -298,6 +306,10 @@ impl ExecutionBackend for SpectralBackend {
 
     fn stage_width(&self, stage: usize, feature_dim: usize) -> usize {
         self.model.stage_width(stage, feature_dim)
+    }
+
+    fn stage_halo(&self, stage: usize) -> StageHalo {
+        self.model.stage_halo(stage)
     }
 
     fn execute_stage(
@@ -423,6 +435,10 @@ impl ExecutionBackend for SimulatedAccelBackend {
 
     fn stage_width(&self, stage: usize, feature_dim: usize) -> usize {
         self.model.stage_width(stage, feature_dim)
+    }
+
+    fn stage_halo(&self, stage: usize) -> StageHalo {
+        self.model.stage_halo(stage)
     }
 
     fn execute_stage(

@@ -7,7 +7,9 @@ use crate::backend::{
 use crate::error::EngineError;
 use crate::request::{ExecOutcome, InferRequest, InferResponse, RequestMode, PAPER_FANOUTS};
 use crate::stats::ServeStats;
-use crate::versioned::{GraphEpoch, GraphHandle, ResidencyPolicy, SharedGraphState};
+use crate::versioned::{
+    GraphEpoch, GraphHandle, ResidencyPolicy, SharedGraphState, StageState,
+};
 use blockgnn_gnn::batch::MergedUniverse;
 use blockgnn_gnn::sampled::SampledSubgraph;
 use blockgnn_gnn::{build_model_with_policy, CompressionPolicy, GnnModel, ModelKind};
@@ -246,7 +248,7 @@ fn spectral_weight_bytes(model: &mut dyn GnnModel) -> usize {
 /// Open a session with [`Engine::session`], or fork replicas for
 /// concurrent serving with [`Engine::fork`]: forks share the prepared
 /// weights *and* the versioned graph state (current snapshot, mutable
-/// master, version-keyed full-graph logits cache), so a whole worker
+/// master, version-keyed full-graph cache), so a whole worker
 /// pool computes the full graph at most once per version and observes
 /// updates in the same total order.
 pub struct Engine {
@@ -324,11 +326,13 @@ impl Engine {
     /// Applies a [`GraphDelta`] atomically and publishes the new graph
     /// version, returning it. The swap happens between micro-batches:
     /// executions already in flight finish on the version they resolved,
-    /// the next batch (on every fork) sees the new one. The full-graph
-    /// logits cache is version-keyed, so the next full-graph request
-    /// recomputes; when the delta grows the node count, the §IV-B/§IV-C
-    /// feature-residency check re-runs first (see
-    /// [`EngineBuilder::graph_budget_bytes`]).
+    /// the next batch (on every fork) sees the new one. The delta's
+    /// footprint (edge endpoints, rewritten and appended feature rows)
+    /// is recorded, and the next full-graph request patches the cached
+    /// stage outputs forward, recomputing only the rows the delta can
+    /// change, with results bit-identical to a full pass. When the delta
+    /// grows the node count, the §IV-B/§IV-C feature-residency check
+    /// re-runs first (see [`EngineBuilder::graph_budget_bytes`]).
     ///
     /// # Errors
     ///
@@ -355,21 +359,22 @@ impl Engine {
         Session { engine: self, stats: ServeStats::default() }
     }
 
-    /// Drops the full-graph logits cache so the next full-graph request
-    /// recomputes (and re-charges the hardware models). Useful for
-    /// benchmarking the execution path itself; regular serving never
-    /// needs this — the cache is version-keyed and [`Engine::apply_delta`]
-    /// already invalidates it. Affects every [`Engine::fork`] replica —
-    /// the cache is shared.
+    /// Drops the full-graph cache — every stage's output matrix — so the
+    /// next full-graph request runs a full staged pass over every row
+    /// (and re-charges the hardware models). Useful for benchmarking the
+    /// execution path itself; regular serving never needs this — the
+    /// cache is version-keyed, and after [`Engine::apply_delta`] the next
+    /// read recomputes only the rows the delta can change. Affects every
+    /// [`Engine::fork`] replica — the cache is shared.
     pub fn clear_full_graph_cache(&self) {
-        *self.shared.cache.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        self.shared.cache.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
 
     /// Forks an independent replica for another worker thread: the
     /// backend's prepared weights and cached spectra are `Arc`-shared
     /// (see [`ExecutionBackend::fork`]), as is the whole versioned graph
     /// state — snapshot, mutable master, and the version-keyed
-    /// full-graph logits cache. Forks execute concurrently and observe
+    /// full-graph cache. Forks execute concurrently and observe
     /// graph updates in the same total order — this is how the serving
     /// runtime places one engine per worker without duplicating the
     /// model.
@@ -437,42 +442,41 @@ impl Engine {
         }
     }
 
-    /// Answers one full-graph request through the shared version-keyed
-    /// cache, computing the full-graph pass under the cache lock if the
-    /// snapshot's version is not the cached one (concurrent forks block
-    /// rather than duplicate the work; a delta bumps the version, so a
-    /// stale entry can never answer).
+    /// Answers one full-graph request through the shared full-graph
+    /// cache. A read at the cached version is a hit. A read at a newer
+    /// version brings the cached stage state forward under the cache
+    /// lock — patching only the rows the deltas in between can reach —
+    /// so concurrent forks block rather than duplicate the work. A batch
+    /// still draining an older version answers from its own full pass
+    /// and leaves the newer state in place.
     fn full_graph_outcome(&mut self, epoch: &GraphEpoch, nodes: &[usize]) -> ExecOutcome {
-        let mut guard = self.shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        let from_cache = matches!(&*guard, Some((v, _)) if *v == epoch.version);
-        if !from_cache {
-            let shape =
-                RequestShape { target_nodes: epoch.dataset.num_nodes(), fanouts: self.fanouts };
-            let out =
-                self.backend.execute(&epoch.dataset.graph, &epoch.dataset.features, shape);
-            // A batch still draining an older version may pass through
-            // here after a newer version was cached; it stores its own
-            // version (hits require an exact match, so this only costs
-            // the newer version one recomputation, never correctness).
-            *guard = Some((epoch.version, out));
+        let mut cache = self.shared.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let cached = cache.version();
+        if cached.is_some_and(|v| v > epoch.version) {
+            drop(cache);
+            let own = StageState::compute(
+                self.backend.as_mut(),
+                &epoch.dataset,
+                epoch.version,
+                self.fanouts,
+            );
+            return fresh_full_graph_outcome(&own, nodes);
         }
-        let (_, cached) = guard.as_ref().expect("just populated");
-        let logits = crate::request::full_graph_rows(&cached.logits, nodes);
-        // Cache hits cost the hardware nothing — only the fresh
-        // computation carries its cycle/energy report, so summing
-        // per-response cost over a session stays truthful.
-        let (sim, energy_joules) =
-            if from_cache { (None, None) } else { (cached.sim.clone(), cached.energy_joules) };
-        ExecOutcome {
-            logits,
-            sim,
-            energy_joules,
-            from_cache,
-            parts: usize::from(!from_cache),
-            batch_size: 1,
-            graph_version: epoch.version,
-            hot_rows: 0,
+        if cached == Some(epoch.version) {
+            let state = cache.state.as_ref().expect("a cached version has a state");
+            // Cache hits cost the hardware nothing — only a computation
+            // carries its cycle/energy report, so summing per-response
+            // cost over a session stays truthful.
+            return ExecOutcome {
+                sim: None,
+                energy_joules: None,
+                from_cache: true,
+                parts: 0,
+                ..fresh_full_graph_outcome(state, nodes)
+            };
         }
+        cache.refresh(self.backend.as_mut(), &epoch.dataset, epoch.version, self.fanouts);
+        fresh_full_graph_outcome(cache.state.as_ref().expect("just refreshed"), nodes)
     }
 
     /// Executes a micro-batch of requests as **one coalesced pass**: the
@@ -673,6 +677,21 @@ impl Engine {
     }
 }
 
+/// The outcome of a full-graph read computed at `state`'s version: its
+/// rows of the logits and the full pass's hardware cost.
+fn fresh_full_graph_outcome(state: &StageState, nodes: &[usize]) -> ExecOutcome {
+    ExecOutcome {
+        logits: crate::request::full_graph_rows(state.logits(), nodes),
+        sim: state.sim.clone(),
+        energy_joules: state.energy_joules,
+        from_cache: false,
+        parts: 1,
+        batch_size: 1,
+        graph_version: state.version,
+        hot_rows: 0,
+    }
+}
+
 /// What [`Engine::infer_coalesced`] returns: one outcome per request (in
 /// request order) plus batch-level accounting for the serving
 /// telemetry.
@@ -739,10 +758,8 @@ impl std::fmt::Debug for Engine {
             .field("graph_version", &epoch.version)
             .field(
                 "full_graph_cached",
-                &matches!(
-                    &*self.shared.cache.lock().unwrap_or_else(PoisonError::into_inner),
-                    Some((v, _)) if *v == epoch.version
-                ),
+                &(self.shared.cache.lock().unwrap_or_else(PoisonError::into_inner).version()
+                    == Some(epoch.version)),
             )
             .finish()
     }
@@ -804,5 +821,79 @@ impl Session<'_> {
     #[must_use]
     pub fn finish(self) -> ServeStats {
         self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use blockgnn_graph::DatasetSpec;
+
+    fn dataset() -> Arc<Dataset> {
+        let spec = DatasetSpec::new("straggler-test", 48, 120, 8, 3);
+        Arc::new(Dataset::synthesize(&spec, 0.7, 1.0, 5))
+    }
+
+    fn engine(kind: ModelKind, backend: BackendKind, dataset: Arc<Dataset>) -> Engine {
+        EngineBuilder::new(kind, backend)
+            .hidden_dim(8)
+            .compression(Compression::BlockCirculant { block_size: 4 })
+            .seed(3)
+            .build(dataset)
+            .expect("engine builds")
+    }
+
+    fn assert_same_outcome(got: &ExecOutcome, want: &ExecOutcome, what: &str) {
+        assert_eq!(got.logits.shape(), want.logits.shape(), "{what}: shape");
+        for (a, b) in got.logits.as_slice().iter().zip(want.logits.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: logits bits differ");
+        }
+        assert_eq!(got.sim, want.sim, "{what}: SimReport");
+        assert_eq!(
+            got.energy_joules.map(f64::to_bits),
+            want.energy_joules.map(f64::to_bits),
+            "{what}: energy bits"
+        );
+    }
+
+    #[test]
+    fn a_straggler_answers_its_own_epoch_and_keeps_the_newer_state() {
+        let all = InferRequest::all_nodes();
+        for kind in ModelKind::all() {
+            for backend in BackendKind::all() {
+                let what = format!("{kind} {backend}");
+                let mut first = engine(kind, backend, dataset());
+                let mut second = first.fork();
+                first.execute_request(&all).expect("serves");
+                // `second` resolved version 0 before two deltas landed.
+                let held = first.shared.epoch();
+                first.apply_delta(&GraphDelta::new().add_edge(0, 40)).expect("applies");
+                first
+                    .apply_delta(&GraphDelta::new().set_feature_row(7, vec![0.5; 8]))
+                    .expect("applies");
+                let current = first.execute_request(&all).expect("serves");
+                assert!(!current.from_cache, "{what}: the first read at v2 computes");
+                assert_eq!(current.graph_version, 2);
+
+                let straggler = second.execute_request_on(&held, &all).expect("serves");
+                let want =
+                    engine(kind, backend, Arc::clone(&held.dataset)).execute_request(&all);
+                assert_same_outcome(&straggler, &want.expect("serves"), &what);
+                assert!(!straggler.from_cache, "{what}: the straggler computes");
+                assert_eq!(straggler.graph_version, 0);
+
+                // The v2 state survived the straggler: both forks hit it.
+                for fork in [&mut first, &mut second] {
+                    let hit = fork.execute_request(&all).expect("serves");
+                    assert!(hit.from_cache, "{what}: v2 state was replaced");
+                    let charged = ExecOutcome {
+                        sim: current.sim.clone(),
+                        energy_joules: current.energy_joules,
+                        ..hit
+                    };
+                    assert_same_outcome(&charged, &current, &what);
+                }
+            }
+        }
     }
 }

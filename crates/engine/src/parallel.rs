@@ -41,7 +41,7 @@
 //! engine keeps the stage rows of the highest-degree vertices (up to
 //! [`DEFAULT_HOT_CACHE_BYTES`]) in a version-keyed cache shared across
 //! the whole engine family — forks and re-conversions reuse it like the
-//! full-graph logits cache — and copies them instead of re-aggregating.
+//! full-graph cache — and copies them instead of re-aggregating.
 //! `apply_delta` invalidates strictly before publishing the new epoch.
 //! Sampled requests never touch the cache: their sub-universe inputs are
 //! batch-dependent, not canonical.
@@ -59,7 +59,7 @@ use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::request::{ExecOutcome, InferRequest, InferResponse, RequestMode};
 use crate::stats::ServeStats;
-use crate::versioned::HotVertexCache;
+use crate::versioned::{HotVertexCache, StageState};
 use blockgnn_accel::SimReport;
 use blockgnn_gnn::sampled::SampledSubgraph;
 use blockgnn_gnn::ModelKind;
@@ -133,10 +133,9 @@ impl Engine {
         // stays attached to the *shared* family state, so forks and
         // later conversions reuse (and a family delta invalidates) it.
         let epoch = self.shared.epoch();
-        let full_graph_cache = match &*self.shared.cache.lock().expect("cache lock") {
-            Some((v, out)) if *v == epoch.version => Some(out.clone()),
-            _ => None,
-        };
+        let full_graph_cache = (self.shared.cache.lock().expect("cache lock").state.as_ref())
+            .filter(|state| state.version == epoch.version)
+            .map(StageState::output);
         let compressed = CompressedCsr::encode(&epoch.dataset.graph);
         let mut engine = ParallelEngine {
             dataset: Arc::clone(&epoch.dataset),

@@ -59,7 +59,7 @@ pub mod workload;
 
 pub use adjacency::NormalizedAdjacency;
 pub use models::{
-    build_model, build_model_with_policy, CompressionPolicy, GnnModel, ModelKind,
+    build_model, build_model_with_policy, CompressionPolicy, GnnModel, ModelKind, StageHalo,
 };
 pub use nn_reexports::Compression;
 

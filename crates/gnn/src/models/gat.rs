@@ -10,7 +10,7 @@
 //! `W_h` and attention vectors, the per-head aggregations are
 //! concatenated, and the combiner maps `heads·M → N`.
 
-use crate::models::{CompressionPolicy, GnnModel, ModelKind};
+use crate::models::{CompressionPolicy, GnnModel, ModelKind, StageHalo};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::init::InitRng;
 use blockgnn_linalg::Matrix;
@@ -240,7 +240,9 @@ impl GatLayer {
                 Some(prev) => prev.hconcat(&a).expect("equal row counts"),
             });
         }
-        self.h_cache = h.clone();
+        if train {
+            self.h_cache = h.clone();
+        }
         let y = self.comb.forward(&concat.expect("at least one head"), train);
         match &mut self.act {
             Some(act) => act.forward(&y, train),
@@ -465,6 +467,14 @@ impl GnnModel for Gat {
             1 => hidden,
             2 => 2 * self.layer2.heads.len() + hidden,
             3 => self.layer2.comb.out_dim(),
+            _ => panic!("GAT has 4 stages, got stage {stage}"),
+        }
+    }
+
+    fn stage_halo(&self, stage: usize) -> StageHalo {
+        match stage {
+            0 | 2 => StageHalo::Local,
+            1 | 3 => StageHalo::Neighbors,
             _ => panic!("GAT has 4 stages, got stage {stage}"),
         }
     }

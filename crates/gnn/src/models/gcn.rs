@@ -6,7 +6,7 @@
 //! shows the smallest speedup on GCN.
 
 use crate::adjacency::NormalizedAdjacency;
-use crate::models::{GnnModel, ModelKind};
+use crate::models::{GnnModel, ModelKind, StageHalo};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::{Compression, Layer, LinearLayer, NnError, Param, Relu};
@@ -136,6 +136,15 @@ impl GnnModel for Gcn {
         match stage {
             0 => self.lin1.out_dim(),
             1 => self.lin2.out_dim(),
+            _ => panic!("GCN has 2 stages, got stage {stage}"),
+        }
+    }
+
+    // `Â` weighs each neighbor row by that neighbor's degree, so a
+    // changed degree reaches every row adjacent to it.
+    fn stage_halo(&self, stage: usize) -> StageHalo {
+        match stage {
+            0 | 1 => StageHalo::NeighborsAndDegrees,
             _ => panic!("GCN has 2 stages, got stage {stage}"),
         }
     }

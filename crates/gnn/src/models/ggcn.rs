@@ -6,10 +6,17 @@
 //! neighbor, which is why G-GCN tops Table II's aggregation FLOPs
 //! (3.7 × 10¹²) and shows the paper's largest speedup (8.3× on Reddit).
 
-use crate::models::{CompressionPolicy, GnnModel, ModelKind};
+use crate::models::{CompressionPolicy, GnnModel, ModelKind, StageHalo};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::{Layer, LinearLayer, NnError, Param, Relu};
+
+/// The per-arc gate `σ(p_u + q_v)` of one feature — one expression
+/// shared by the full and the staged forward, so both round alike.
+#[inline]
+fn gate(p: f64, q: f64) -> f64 {
+    1.0 / (1.0 + (-(p + q)).exp())
+}
 
 /// One G-GCN layer. Gate dimension equals the input dimension so the
 /// Hadamard product `η_u ⊙ h_u` is well-typed.
@@ -51,7 +58,10 @@ impl GgcnLayer {
         let dim = self.in_dim;
         let p = self.w_h.forward(h, train); // per-source gate term
         let q = self.w_c.forward(h, train); // per-target gate term
-        self.gates = vec![0.0; graph.num_arcs() * dim];
+
+        // Only training keeps the per-arc gates and the input for
+        // backward; an inference pass never writes them.
+        let mut gates = if train { vec![0.0; graph.num_arcs() * dim] } else { Vec::new() };
         let mut a = Matrix::zeros(nodes, dim);
         let mut arc = 0usize;
         for v in 0..nodes {
@@ -61,16 +71,25 @@ impl GgcnLayer {
                 let pu = p.row(u);
                 let hu = h.row(u);
                 let arow = a.row_mut(v);
-                let gslice = &mut self.gates[arc * dim..(arc + 1) * dim];
-                for d in 0..dim {
-                    let gate = 1.0 / (1.0 + (-(pu[d] + qv[d])).exp());
-                    gslice[d] = gate;
-                    arow[d] += gate * hu[d];
+                if train {
+                    let gslice = &mut gates[arc * dim..(arc + 1) * dim];
+                    for d in 0..dim {
+                        let g = gate(pu[d], qv[d]);
+                        gslice[d] = g;
+                        arow[d] += g * hu[d];
+                    }
+                } else {
+                    for d in 0..dim {
+                        arow[d] += gate(pu[d], qv[d]) * hu[d];
+                    }
                 }
                 arc += 1;
             }
         }
-        self.h_cache = h.clone();
+        if train {
+            self.gates = gates;
+            self.h_cache = h.clone();
+        }
         let y = self.comb.forward(&a, train);
         match &mut self.act {
             Some(act) => act.forward(&y, train),
@@ -149,8 +168,8 @@ impl GgcnLayer {
 
     /// Aggregate-and-combine half-stage: gated neighbor sum reading
     /// `[p ‖ q ‖ h]` columns of the full transform matrix, then the
-    /// combiner (+ activation). The gate expression matches
-    /// [`GgcnLayer::forward`] exactly.
+    /// combiner (+ activation). The gate is [`GgcnLayer::forward`]'s
+    /// own [`gate`].
     fn stage_combine(&mut self, graph: &CsrGraph, input: &Matrix, rows: &[u32]) -> Matrix {
         let dim = self.in_dim;
         assert_eq!(input.cols(), 3 * dim, "g-gcn combine stage expects [p ‖ q ‖ h] input");
@@ -163,8 +182,7 @@ impl GgcnLayer {
                 let (pu, hu) = (&urow[..dim], &urow[2 * dim..]);
                 let arow = a.row_mut(i);
                 for d in 0..dim {
-                    let gate = 1.0 / (1.0 + (-(pu[d] + qv[d])).exp());
-                    arow[d] += gate * hu[d];
+                    arow[d] += gate(pu[d], qv[d]) * hu[d];
                 }
             }
         }
@@ -256,6 +274,14 @@ impl GnnModel for Ggcn {
         }
     }
 
+    fn stage_halo(&self, stage: usize) -> StageHalo {
+        match stage {
+            0 | 2 => StageHalo::Local,
+            1 | 3 => StageHalo::Neighbors,
+            _ => panic!("G-GCN has 4 stages, got stage {stage}"),
+        }
+    }
+
     fn forward_stage(
         &mut self,
         stage: usize,
@@ -294,7 +320,7 @@ mod tests {
         let x = tiny_features(6, 4);
         let mut model =
             Ggcn::new(4, 3, 2, CompressionPolicy::uniform(Compression::Dense), 9).unwrap();
-        let _ = model.forward(&g, &x, false);
+        let _ = model.forward(&g, &x, true);
         assert!(!model.layer1.gates.is_empty());
         assert!(model.layer1.gates.iter().all(|&g| (0.0..=1.0).contains(&g)));
     }

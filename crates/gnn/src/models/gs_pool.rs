@@ -5,7 +5,7 @@
 //! the FLOP-heaviest matrix in Table II) and the combiner `W` can be
 //! block-circulant.
 
-use crate::models::{CompressionPolicy, GnnModel, ModelKind};
+use crate::models::{CompressionPolicy, GnnModel, ModelKind, StageHalo};
 use blockgnn_graph::CsrGraph;
 use blockgnn_linalg::Matrix;
 use blockgnn_nn::{Layer, LinearLayer, NnError, Param, Relu};
@@ -257,6 +257,14 @@ impl GnnModel for GsPool {
             1 => self.layer1.comb.out_dim(),
             2 => self.layer2.pool_dim + self.layer1.comb.out_dim(),
             3 => self.layer2.comb.out_dim(),
+            _ => panic!("GS-Pool has 4 stages, got stage {stage}"),
+        }
+    }
+
+    fn stage_halo(&self, stage: usize) -> StageHalo {
+        match stage {
+            0 | 2 => StageHalo::Local,
+            1 | 3 => StageHalo::Neighbors,
             _ => panic!("GS-Pool has 4 stages, got stage {stage}"),
         }
     }

@@ -62,6 +62,20 @@ impl fmt::Display for ModelKind {
     }
 }
 
+/// Which rows of a stage's input (and which graph facts) one output row
+/// reads — what a delta-scoped refresh needs to know to recompute only
+/// the rows a graph change can reach.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageHalo {
+    /// Row `v` reads only input row `v` (the node-local transforms).
+    Local,
+    /// Row `v` reads input rows `N(v) ∪ {v}` and `v`'s neighbor list.
+    Neighbors,
+    /// Like [`StageHalo::Neighbors`], and also the neighbors' degrees
+    /// (GCN's `Â` normalization).
+    NeighborsAndDegrees,
+}
+
 /// A two-layer GNN for full-batch node classification.
 ///
 /// `forward` produces per-node logits; `backward` takes `∂L/∂logits`,
@@ -133,6 +147,13 @@ pub trait GnnModel: Send {
     ///
     /// Panics if `stage >= num_stages()`.
     fn stage_width(&self, stage: usize, feature_dim: usize) -> usize;
+
+    /// What output rows of stage `stage` read (see [`StageHalo`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stage >= num_stages()`.
+    fn stage_halo(&self, stage: usize) -> StageHalo;
 
     /// Computes stage `stage` output rows for target nodes `rows`,
     /// reading the full previous-stage matrix `input` (the feature

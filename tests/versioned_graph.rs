@@ -200,6 +200,69 @@ proptest! {
     }
 }
 
+/// One delta of a mixed stream: always the operation `step % 4` picks
+/// (edge add, edge removal, feature-row rewrite, or an appended node
+/// wired to an existing one), plus a random extra edge half the time.
+fn mixed_delta(versioned: &VersionedGraph, rng: &mut Rng64, step: usize) -> GraphDelta {
+    let n = versioned.num_nodes();
+    let row =
+        |rng: &mut Rng64| (0..versioned.features().cols()).map(|_| rng.next_normal()).collect();
+    let mut delta = match step % 4 {
+        0 => GraphDelta::new().add_edge(rng.next_below(n), rng.next_below(n)),
+        1 => {
+            let (u, v) = versioned.edges()[rng.next_below(versioned.edges().len())];
+            GraphDelta::new().remove_edge(u, v)
+        }
+        2 => GraphDelta::new().set_feature_row(rng.next_below(n), row(rng)),
+        _ => GraphDelta::new().append_node(row(rng)).add_edge(n, rng.next_below(n)),
+    };
+    if rng.next_below(2) == 0 {
+        delta = delta.add_edge(rng.next_below(n), rng.next_below(n));
+    }
+    delta
+}
+
+/// Delta-scoped refresh differential: an engine that patches its cached
+/// full-graph stages forward across a seeded stream of mixed deltas must
+/// answer every full-graph read — after each delta, and after gaps of
+/// 2–3 deltas — bit-identically (logits, `SimReport` cycles, energy) to
+/// a fresh engine built on the from-scratch rebuild of that version.
+#[test]
+fn patched_full_graph_reads_match_a_fresh_engine_on_every_model_and_backend() {
+    for kind in ModelKind::all() {
+        for backend in BackendKind::all() {
+            let dataset = Arc::new(small_dataset(88));
+            let mut engine = engine_on(kind, backend, Arc::clone(&dataset));
+            let mut mirror = Mirror::of(&dataset);
+            let mut rng = Rng64::new(0x5EED);
+            engine.session().infer(&InferRequest::all_nodes()).expect("version 0 serves");
+            // Read after each of the first 4 deltas, then every 2–3.
+            let mut step = 0;
+            for gap in [1, 1, 1, 1, 2, 3, 2, 3, 3, 2] {
+                for _ in 0..gap {
+                    let delta = mixed_delta(&mirror.versioned, &mut rng, step);
+                    engine.apply_delta(&delta).expect("valid delta applies");
+                    mirror.apply(&delta);
+                    step += 1;
+                }
+                let what = format!("{kind} {backend} v{step}");
+                let got = engine.session().infer(&InferRequest::all_nodes()).expect("serves");
+                let mut fresh = engine_on(kind, backend, Arc::new(mirror.rebuilt_dataset()));
+                let want = fresh.session().infer(&InferRequest::all_nodes()).expect("serves");
+                assert!(!got.from_cache, "{what}: a new version is computed, not a hit");
+                assert_eq!(got.graph_version, step as u64, "{what}: version");
+                assert_logits_bit_identical(&got.logits, &want.logits, &what);
+                assert_eq!(got.sim, want.sim, "{what}: SimReport cycles");
+                assert_eq!(
+                    got.energy_joules.map(f64::to_bits),
+                    want.energy_joules.map(f64::to_bits),
+                    "{what}: energy bits"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn stale_gcn_normalization_cannot_survive_mutation() {
     // Satellite regression: GCN caches its Â normalization keyed on the
